@@ -8,7 +8,7 @@
 //! fat-node archive so that any version can be retrieved, cited, and
 //! queried longitudinally (§5).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 use cdb_archive::{Archive, ArchiveError, Citation, VersionId};
@@ -166,6 +166,10 @@ pub struct CuratedDatabase {
     /// by checkpoints; postings are derived state, reconciled on every
     /// commit and rebuilt from the tree on recovery.
     pub(crate) indexes: crate::indexes::FieldIndexes,
+    /// Entry key → entry node. Derived state like the postings: never
+    /// serialized, rebuilt from the tree on open, and reconciled by the
+    /// same per-commit hook ([`CuratedDatabase::reconcile_touched`]).
+    pub(crate) keys: crate::indexes::KeyMap,
 }
 
 /// A deep copy of every field a curation operation can mutate, taken
@@ -184,6 +188,7 @@ pub(crate) struct TxnBackup {
     persisted_txns: usize,
     persisted_events: usize,
     indexes: crate::indexes::FieldIndexes,
+    keys: crate::indexes::KeyMap,
 }
 
 impl CuratedDatabase {
@@ -215,6 +220,7 @@ impl CuratedDatabase {
             defer_persist: false,
             paged: None,
             indexes: crate::indexes::FieldIndexes::default(),
+            keys: crate::indexes::KeyMap::default(),
         }
     }
 
@@ -230,6 +236,7 @@ impl CuratedDatabase {
             persisted_txns: self.persisted_txns,
             persisted_events: self.persisted_events,
             indexes: self.indexes.clone(),
+            keys: self.keys.clone(),
         }
     }
 
@@ -249,6 +256,7 @@ impl CuratedDatabase {
         self.persisted_txns = backup.persisted_txns;
         self.persisted_events = backup.persisted_events;
         self.indexes = backup.indexes;
+        self.keys = backup.keys;
     }
 
     /// The segment-retention policy applied when a checkpoint retires
@@ -298,31 +306,33 @@ impl CuratedDatabase {
         &self.archive
     }
 
-    /// The node of the entry with the given key.
+    /// The node of the entry with the given key: a probe of the key
+    /// map. When an edited key field left two entries sharing a key,
+    /// the first in child order answers.
     pub fn entry_node(&self, key: &str) -> Result<NodeId, DbError> {
-        let root = self.curated.tree.root();
-        for &child in self.curated.tree.children(root)? {
-            if let Some(kf) = self.curated.tree.child_by_label(child, &self.key_field)? {
-                if self.curated.tree.value(kf)? == Some(&Atom::Str(key.to_owned())) {
-                    return Ok(child);
-                }
-            }
-        }
-        Err(DbError::NoSuchEntry(key.to_owned()))
+        self.keys
+            .get(key)
+            .ok_or_else(|| DbError::NoSuchEntry(key.to_owned()))
     }
 
-    /// The keys of all current entries.
+    /// The key map behind [`CuratedDatabase::entry_node`].
+    pub fn key_map(&self) -> &crate::indexes::KeyMap {
+        &self.keys
+    }
+
+    /// The keyed entries as `(node, key)`, in child order — a walk of
+    /// the root's children, the ground truth the key map derives from.
+    pub(crate) fn keyed_children(&self) -> impl Iterator<Item = (NodeId, &str)> {
+        let tree = &self.curated.tree;
+        let children = tree.children(tree.root()).unwrap_or_default();
+        children
+            .iter()
+            .filter_map(|&c| entry_key(tree, &self.key_field, c).map(|k| (c, k)))
+    }
+
+    /// The keys of all current entries, in child order.
     pub fn entry_keys(&self) -> Result<Vec<String>, DbError> {
-        let root = self.curated.tree.root();
-        let mut out = Vec::new();
-        for &child in self.curated.tree.children(root)? {
-            if let Some(kf) = self.curated.tree.child_by_label(child, &self.key_field)? {
-                if let Some(Atom::Str(s)) = self.curated.tree.value(kf)? {
-                    out.push(s.clone());
-                }
-            }
-        }
-        Ok(out)
+        Ok(self.keyed_children().map(|(_, k)| k.to_owned()).collect())
     }
 
     /// Adds a freshly-authored entry.
@@ -355,7 +365,7 @@ impl CuratedDatabase {
         }
         t.commit();
         self.lifecycle.create(key, time)?;
-        self.reindex_touched(&[key]);
+        self.reconcile_touched(&[entry]);
         self.persist_commit()?;
         Ok(entry)
     }
@@ -394,7 +404,7 @@ impl CuratedDatabase {
         }
         t.commit();
         self.lifecycle.create(key, time)?;
-        self.reindex_touched(&[key]);
+        self.reconcile_touched(&[entry]);
         self.persist_commit()?;
         Ok(entry)
     }
@@ -426,7 +436,7 @@ impl CuratedDatabase {
             }
         }
         t.commit();
-        self.reindex_touched(&[key]);
+        self.reconcile_touched(&[entry]);
         self.persist_commit()?;
         Ok(())
     }
@@ -450,7 +460,7 @@ impl CuratedDatabase {
         t.delete(entry)?;
         t.commit();
         self.lifecycle.delete(key, time)?;
-        self.reindex_touched(&[key]);
+        self.reconcile_touched(&[entry]);
         self.persist_commit()?;
         Ok(())
     }
@@ -490,7 +500,7 @@ impl CuratedDatabase {
         t.delete(absorbed_node)?;
         t.commit();
         self.lifecycle.merge(kept, absorbed, time)?;
-        self.reindex_touched(&[kept, absorbed]);
+        self.reconcile_touched(&[kept_node, absorbed_node]);
         self.persist_commit()?;
         Ok(())
     }
@@ -508,9 +518,11 @@ impl CuratedDatabase {
         let part_keys: Vec<String> = parts.iter().map(|(k, _)| (*k).to_string()).collect();
         self.lifecycle.check_split(original, &part_keys)?;
         let root = self.curated.tree.root();
+        let mut touched = vec![original_node];
         let mut t = self.curated.begin(curator, time);
         for (key, fields) in parts {
             let entry = t.insert(root, "entry", None)?;
+            touched.push(entry);
             t.insert(
                 entry,
                 self.key_field.clone(),
@@ -523,9 +535,7 @@ impl CuratedDatabase {
         t.delete(original_node)?;
         t.commit();
         self.lifecycle.split(original, &part_keys, time)?;
-        let mut touched: Vec<&str> = vec![original];
-        touched.extend(parts.iter().map(|(k, _)| *k));
-        self.reindex_touched(&touched);
+        self.reconcile_touched(&touched);
         self.persist_commit()?;
         Ok(())
     }
@@ -613,19 +623,38 @@ impl CuratedDatabase {
         Ok(())
     }
 
-    /// Reconciles every registered index for the entries a committed
-    /// curation operation touched: existing entries re-point at their
-    /// current field values, vanished entries (deleted, absorbed,
-    /// split away) are unlinked. Runs inside the commit path, before
-    /// persistence — 2PC rollback restores postings via
-    /// [`CuratedDatabase::backup_for_txn`] along with the tree.
-    pub(crate) fn reindex_touched(&mut self, keys: &[&str]) {
+    /// Rebuilds the key map from the tree (on open).
+    pub(crate) fn rebuild_key_map(&mut self) {
+        let mut keys = crate::indexes::KeyMap::default();
+        for (node, key) in self.keyed_children() {
+            keys.refile(node, Some(key));
+        }
+        self.keys = keys;
+    }
+
+    /// The per-commit hook that keeps derived state in step with the
+    /// tree. `entries` are the entry nodes a committed curation
+    /// operation created, edited or removed. The key map re-files each
+    /// under its current key (or drops it); every registered index then
+    /// re-points each affected key — old and new — at its current field
+    /// values, or unlinks it when no entry holds it any more. Runs
+    /// inside the commit path, before persistence; 2PC rollback
+    /// restores both via [`CuratedDatabase::backup_for_txn`] along with
+    /// the tree.
+    pub(crate) fn reconcile_touched(&mut self, entries: &[NodeId]) {
+        let _span = cdb_obs::SpanGuard::enter("core.index.reindex");
+        let mut affected: BTreeSet<String> = BTreeSet::new();
+        for &node in entries {
+            let now = entry_key(&self.curated.tree, &self.key_field, node);
+            affected.extend(now.map(str::to_owned));
+            affected.extend(self.keys.refile(node, now).map(|k| k.to_string()));
+        }
         if self.indexes.is_empty() {
             return;
         }
         let fields = self.indexes.fields();
-        for &key in keys {
-            if self.entry_node(key).is_ok() {
+        for key in &affected {
+            if self.keys.get(key).is_some() {
                 for field in &fields {
                     let value = self.index_value(key, field);
                     if let Some(idx) = self.indexes.get_mut(field) {
@@ -639,13 +668,13 @@ impl CuratedDatabase {
     }
 
     /// Planner statistics for the entries relation over the given
-    /// fields, derived without scanning: row count from the lifecycle
-    /// view, per-field distinct counts from the registered indexes
-    /// (unindexed fields keep the planner's default heuristics). The
-    /// relation is named `entries`, matching
+    /// fields, derived without scanning: the row count is the key
+    /// map's size, per-field distinct counts come from the registered
+    /// indexes (unindexed fields keep the planner's default
+    /// heuristics). The relation is named `entries`, matching
     /// [`crate::views::query_entries_planned`].
     pub fn planner_stats(&self, fields: &[&str]) -> cdb_relalg::DbStats {
-        let rows = self.entry_keys().map(|k| k.len() as u64).unwrap_or(0);
+        let rows = self.keys.len() as u64;
         let mut cols = std::collections::BTreeMap::new();
         cols.insert(
             self.key_field.clone(),
@@ -668,35 +697,30 @@ impl CuratedDatabase {
 
     /// The registered indexes as a relational [`cdb_relalg::IndexSet`]
     /// over the entries relation of `[key_field, fields…]` — postings
-    /// converted from entry keys to row offsets (entries appear in
-    /// [`CuratedDatabase::entry_keys`] order, the order
-    /// [`crate::views::entry_relation`] emits rows in). Indexed fields
-    /// not in the view are skipped.
+    /// converted from entry keys to row offsets. Rows are one per key
+    /// in child order, as [`crate::views::entry_relation`] emits them;
+    /// child order is node-id order, so the offsets come from the key
+    /// map without walking the tree. Indexed fields not in the view are
+    /// skipped.
     pub fn relalg_index_set(&self, fields: &[&str]) -> Result<cdb_relalg::IndexSet, DbError> {
+        let mut rows: Vec<NodeId> = self.keys.iter().map(|(_, n)| n).collect();
+        rows.sort_unstable();
+        Ok(self.index_set_over(fields, &rows))
+    }
+
+    /// [`CuratedDatabase::relalg_index_set`] over known rows: `rows[i]`
+    /// is the entry node of row `i`, in ascending (child) order.
+    pub(crate) fn index_set_over(&self, fields: &[&str], rows: &[NodeId]) -> cdb_relalg::IndexSet {
+        debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows in child order");
         let mut set = cdb_relalg::IndexSet::new();
-        if self.indexes.is_empty() {
-            return Ok(set);
-        }
-        let offsets: std::collections::BTreeMap<String, usize> = self
-            .entry_keys()?
-            .into_iter()
-            .enumerate()
-            .map(|(i, k)| (k, i))
-            .collect();
-        let schema: Vec<&str> = std::iter::once(self.key_field.as_str())
-            .chain(fields.iter().copied())
-            .collect();
-        for idx in self.indexes.iter() {
-            let Some(col_idx) = schema.iter().position(|c| *c == idx.field()) else {
-                continue;
-            };
+        for (col_idx, idx) in self.view_indexes(fields) {
             let postings = idx.postings().map(|(value, keys)| {
-                let mut rows: Vec<usize> = keys
+                let mut offsets: Vec<usize> = keys
                     .iter()
-                    .filter_map(|k| offsets.get(k).copied())
+                    .filter_map(|k| rows.binary_search(&self.keys.get(k)?).ok())
                     .collect();
-                rows.sort_unstable();
-                (value.clone(), rows)
+                offsets.sort_unstable();
+                (value.clone(), offsets)
             });
             set.add(cdb_relalg::ColumnIndex::from_postings(
                 "entries",
@@ -705,7 +729,23 @@ impl CuratedDatabase {
                 postings,
             ));
         }
-        Ok(set)
+        set
+    }
+
+    /// The registered indexes over columns of the entries relation
+    /// `[key_field, fields…]`, each with its column position.
+    pub(crate) fn view_indexes<'a>(
+        &'a self,
+        fields: &'a [&str],
+    ) -> impl Iterator<Item = (usize, &'a crate::indexes::FieldIndex)> {
+        self.indexes.iter().filter_map(move |idx| {
+            let col = if idx.field() == self.key_field {
+                Some(0)
+            } else {
+                fields.iter().position(|f| *f == idx.field()).map(|p| p + 1)
+            };
+            col.map(|c| (c, idx))
+        })
     }
 
     // ---------------------------------------------------- annotations
@@ -868,7 +908,27 @@ impl CuratedDatabase {
             defer_persist: false,
             paged: None,
             indexes: self.indexes.clone(),
+            keys: self.keys.clone(),
         }
+    }
+}
+
+/// The key of a keyed entry: `node` is a live child of the root whose
+/// first key-field child holds a string.
+fn entry_key<'t>(
+    tree: &'t cdb_curation::tree::TreeDb,
+    key_field: &str,
+    node: NodeId,
+) -> Option<&'t str> {
+    if tree.parent(node).ok()? != Some(tree.root()) {
+        return None;
+    }
+    match tree
+        .value(tree.child_by_label(node, key_field).ok()??)
+        .ok()?
+    {
+        Some(Atom::Str(k)) => Some(k),
+        _ => None,
     }
 }
 

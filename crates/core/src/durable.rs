@@ -402,6 +402,7 @@ impl CuratedDatabase {
                 }
             }
         }
+        db.rebuild_key_map();
         for field in db.index_fields() {
             db.rebuild_index(&field)?;
         }

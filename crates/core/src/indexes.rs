@@ -1,4 +1,13 @@
-//! Durable secondary indexes over entry fields.
+//! Derived access paths over entries: the key map and the durable
+//! secondary indexes over entry fields.
+//!
+//! A [`KeyMap`] maps each entry key to the node
+//! [`CuratedDatabase::entry_node`] answers with, so keyed reads and
+//! writes probe a `BTreeMap` instead of scanning the root's children.
+//! Like index postings it is derived state: never serialized, rebuilt
+//! from the tree on open, carried by snapshots and 2PC backups, and
+//! reconciled by the same per-commit hook
+//! ([`CuratedDatabase::reconcile_touched`]).
 //!
 //! A [`FieldIndex`] maps each value of one entry field to the set of
 //! entry keys holding it — the curated-database analogue of
@@ -19,13 +28,97 @@
 //! distinct counts without scanning — the durable engine's answer to
 //! `DbStats::analyze`.
 //!
+//! [`CuratedDatabase::entry_node`]: crate::db::CuratedDatabase::entry_node
+//! [`CuratedDatabase::reconcile_touched`]: crate::db::CuratedDatabase::reconcile_touched
 //! [`CuratedDatabase::create_index`]: crate::db::CuratedDatabase::create_index
 //! [`CuratedDatabase::relalg_index_set`]: crate::db::CuratedDatabase::relalg_index_set
 //! [`CuratedDatabase::planner_stats`]: crate::db::CuratedDatabase::planner_stats
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
+use cdb_curation::NodeId;
 use cdb_model::Atom;
+
+/// Entry key → entry node, for every keyed entry (a root child whose
+/// first key-field child holds a string).
+///
+/// Keys are unique through the curation API, but editing an entry's
+/// key field can make two entries share one. Lookups then answer the
+/// first in child order — what a scan of the root's children would
+/// find. Entries are appended to the root and never move, so child
+/// order is node-id order and the first holder is the lowest id.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct KeyMap {
+    /// Key → its first holder.
+    first: BTreeMap<Arc<str>, NodeId>,
+    /// Entry node → key, for every keyed entry (shadowed holders too).
+    /// The two maps share each key, so the copy every published
+    /// snapshot takes bumps reference counts instead of copying strings.
+    keys: BTreeMap<NodeId, Arc<str>>,
+}
+
+impl KeyMap {
+    /// The node of the entry with `key`.
+    pub fn get(&self, key: &str) -> Option<NodeId> {
+        self.first.get(key).copied()
+    }
+
+    /// Number of distinct keys.
+    pub fn len(&self) -> usize {
+        self.first.len()
+    }
+
+    /// Whether no entry is keyed.
+    pub fn is_empty(&self) -> bool {
+        self.first.is_empty()
+    }
+
+    /// `(key, node)` lookups in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, NodeId)> {
+        self.first.iter().map(|(k, n)| (&**k, *n))
+    }
+
+    /// Every keyed entry as `(node, key)`, in child order, shadowed
+    /// duplicates included.
+    pub fn entries(&self) -> impl Iterator<Item = (NodeId, &str)> {
+        self.keys.iter().map(|(n, k)| (*n, &**k))
+    }
+
+    /// Files `node` under `key` (`None`: no longer a keyed entry) and
+    /// returns the key it was filed under before.
+    pub(crate) fn refile(&mut self, node: NodeId, key: Option<&str>) -> Option<Arc<str>> {
+        let shadowed = self.keys.len() > self.first.len();
+        let key: Option<Arc<str>> = key.map(|k| match self.first.get_key_value(k) {
+            Some((shared, _)) => shared.clone(),
+            None => k.into(),
+        });
+        let old = match &key {
+            Some(k) if self.keys.get(&node) == Some(k) => return key,
+            Some(k) => self.keys.insert(node, k.clone()),
+            None => self.keys.remove(&node),
+        };
+        if let Some(o) = &old {
+            if self.first.get(o) == Some(&node) {
+                // The next holder takes over. Only a map that already
+                // had shadowed holders can have one, so the scan runs
+                // only after a key-field edit made a duplicate.
+                let next = shadowed
+                    .then(|| self.keys.iter().find(|(_, k)| *k == o).map(|(n, _)| *n))
+                    .flatten();
+                match next {
+                    Some(n) => self.first.insert(o.clone(), n),
+                    None => self.first.remove(o),
+                };
+            }
+        }
+        if let Some(k) = key {
+            let f = self.first.entry(k).or_insert(node);
+            *f = (*f).min(node);
+        }
+        old
+    }
+}
 
 /// A secondary index over one entry field.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

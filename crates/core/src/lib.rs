@@ -34,7 +34,7 @@ pub mod views;
 
 pub use db::{CuratedDatabase, DbError, Note};
 pub use durable::{CheckpointStats, Durability};
-pub use indexes::{FieldIndex, FieldIndexes};
+pub use indexes::{FieldIndex, FieldIndexes, KeyMap};
 pub use lifecycle::{EntryEvent, EntryRegistry, Fate};
 pub use sharded::{ShardMap, ShardedDb, ShardedSnapshot};
 pub use shared::{SharedDb, Snapshot, DEFAULT_BATCH_WINDOW};

@@ -683,10 +683,12 @@ impl ShardedDb {
             }
             t.commit();
             k.lifecycle.replay_event(&event);
+            k.reconcile_touched(&[kept_node]);
             let mut t = a.curated.begin(curator, time);
             t.delete(absorbed_node)?;
             t.commit();
             a.lifecycle.replay_event(&event);
+            a.reconcile_touched(&[absorbed_node]);
             Ok(())
         })
     }
@@ -735,10 +737,12 @@ impl ShardedDb {
                 }
                 let root = g.curated.tree.root();
                 let key_field = g.key_field.clone();
+                let mut touched: Vec<NodeId> = original_node.into_iter().collect();
                 let mut t = g.curated.begin(curator, time);
                 for &pi in local {
                     let (key, fields) = &parts[pi];
                     let entry = t.insert(root, "entry", None)?;
+                    touched.push(entry);
                     t.insert(entry, key_field.clone(), Some(Atom::Str((*key).to_owned())))?;
                     for (label, value) in fields {
                         t.insert(entry, (*label).to_owned(), Some(value.clone()))?;
@@ -762,6 +766,7 @@ impl ShardedDb {
                         time,
                     });
                 }
+                g.reconcile_touched(&touched);
             }
             Ok(())
         })
@@ -1218,6 +1223,61 @@ mod tests {
                 .unwrap_or(0),
             0
         );
+    }
+
+    /// A 2PC transaction that fails after mutating both shards (as a
+    /// failed PREPARE sync would) must restore each shard's key map and
+    /// postings with its tree: the absorbed key resolves again, the
+    /// renamed one keeps its old name, and later writes see both.
+    #[test]
+    fn cross_shard_abort_restores_key_maps_and_postings() {
+        let db = ShardedDb::new("iuphar", "name", ab_map());
+        db.create_index("tm").unwrap();
+        db.add_entry("alice", 1, "GABA-A", &[("tm", Atom::Int(4))])
+            .unwrap();
+        db.add_entry("bob", 2, "P2X", &[("tm", Atom::Int(7))])
+            .unwrap();
+        let state = |i: usize| {
+            let g = db.inner.shards[i].lock_db();
+            (g.key_map().clone(), g.field_index("tm").cloned())
+        };
+        let before = [state(0), state(1)];
+        let out = db.cross_commit(&[0, 1], |guards| {
+            let kept = guards[0].entry_node("GABA-A")?;
+            let kf = guards[0]
+                .curated
+                .tree
+                .child_by_label(kept, "name")?
+                .unwrap();
+            let mut t = guards[0].curated.begin("carol", 3);
+            t.modify(kf, Some(Atom::Str("GABA-B".into())))?;
+            t.commit();
+            guards[0].reconcile_touched(&[kept]);
+            let absorbed = guards[1].entry_node("P2X")?;
+            let mut t = guards[1].curated.begin("carol", 3);
+            t.delete(absorbed)?;
+            t.commit();
+            guards[1].reconcile_touched(&[absorbed]);
+            assert!(guards[0].entry_node("GABA-B").is_ok());
+            assert!(guards[1].entry_node("P2X").is_err());
+            Err(DbError::Storage("PREPARE sync failed".into()))
+        });
+        assert!(out.is_err());
+        assert_eq!(
+            [state(0), state(1)],
+            before,
+            "rollback restores derived state"
+        );
+        db.edit_field("dave", 4, "P2X", "tm", Atom::Int(8)).unwrap();
+        db.merge_entries("dave", 5, "GABA-A", "P2X").unwrap();
+        let snap = db.snapshot();
+        assert_eq!(snap.entry_keys().unwrap(), vec!["GABA-A"]);
+        assert_eq!(
+            snap.shard(0).index_lookup("tm", &Atom::Int(4)).unwrap(),
+            ["GABA-A"]
+        );
+        assert!(snap.shard(1).key_map().is_empty());
+        assert!(snap.shard(1).field_index("tm").unwrap().is_empty());
     }
 
     #[test]

@@ -8,37 +8,89 @@
 //! side-effect-free placement for the view annotation (via
 //! `cdb-annotation`), and attach the note to the placed source field.
 
+use std::collections::BTreeMap;
+
 use cdb_annotation::colored::{ColoredRelation, ColoredTuple, Scheme};
 use cdb_annotation::reverse::{find_placements, Target};
+use cdb_curation::NodeId;
 use cdb_model::Atom;
-use cdb_relalg::{Database, RaExpr, RelalgError, Relation, Schema, Tuple};
+use cdb_relalg::{
+    ColumnIndex, Database, IndexSet, PlanOp, RaExpr, RelalgError, Relation, Schema, Tuple,
+};
 
 use crate::db::{CuratedDatabase, DbError};
 
 /// The flat relation of all entries over the given fields: schema is
-/// `[key_field, fields…]`; entries missing a field get `Unit`.
+/// `[key_field, fields…]`, one row per key in child order; entries
+/// missing a field get `Unit`.
 pub fn entry_relation(db: &CuratedDatabase, fields: &[&str]) -> Result<Relation, DbError> {
+    entry_rows(db, fields).map(|(rel, _)| rel)
+}
+
+fn entry_schema(db: &CuratedDatabase, fields: &[&str]) -> Result<Schema, DbError> {
     let mut attrs = vec![db.key_field().to_owned()];
     attrs.extend(fields.iter().map(|f| (*f).to_owned()));
-    let schema = Schema::new(attrs).map_err(relalg_to_db)?;
-    let mut rel = Relation::empty(schema);
-    for key in db.entry_keys()? {
-        let mut row: Tuple = vec![Atom::Str(key.clone())];
-        for f in fields {
-            row.push(db.field(&key, f).unwrap_or(Atom::Unit));
-        }
-        rel.insert(row).map_err(relalg_to_db)?;
+    Schema::new(attrs).map_err(relalg_to_db)
+}
+
+/// The row of one entry: its key, then each field's value (`Unit`
+/// when absent).
+fn entry_row(
+    db: &CuratedDatabase,
+    node: NodeId,
+    key: &str,
+    fields: &[&str],
+) -> Result<Tuple, DbError> {
+    let tree = &db.curated.tree;
+    let mut row: Tuple = Vec::with_capacity(fields.len() + 1);
+    row.push(Atom::Str(key.to_owned()));
+    for f in fields {
+        let cell = match tree.child_by_label(node, f)? {
+            Some(c) => tree.value(c)?.cloned().unwrap_or(Atom::Unit),
+            None => Atom::Unit,
+        };
+        row.push(cell);
     }
-    Ok(rel)
+    Ok(row)
+}
+
+/// [`entry_relation`] plus the entry node behind each row — one pass
+/// over the root's children. An entry whose key an earlier entry
+/// already holds (possible only after a key-field edit) is skipped:
+/// the key resolves to the first holder, so its row would repeat the
+/// first holder's.
+fn entry_rows(db: &CuratedDatabase, fields: &[&str]) -> Result<(Relation, Vec<NodeId>), DbError> {
+    let mut span = cdb_obs::SpanGuard::enter("core.view.materialize");
+    let mut rel = Relation::empty(entry_schema(db, fields)?);
+    let mut nodes = Vec::new();
+    for (node, key) in db.keyed_children() {
+        if db.key_map().get(key) == Some(node) {
+            rel.insert(entry_row(db, node, key, fields)?)
+                .map_err(relalg_to_db)?;
+            nodes.push(node);
+        }
+    }
+    span.set_attr(nodes.len() as u64);
+    Ok((rel, nodes))
 }
 
 /// Plans and runs a query over the entries relation with the cost-based
-/// planner: statistics come from [`CuratedDatabase::planner_stats`]
-/// (entry counts, per-indexed-field distincts — no scan), access paths
-/// from the registered durable indexes via
-/// [`CuratedDatabase::relalg_index_set`]. Returns the canonical result
-/// plus the physical plan and its per-operator actuals, so callers
-/// (cdbsh `explain`) can show estimates against reality.
+/// planner. The plan needs no rows: statistics come from
+/// [`CuratedDatabase::planner_stats`] (the key map's size and
+/// per-indexed-field distincts) and the planner asks the registered
+/// durable indexes only whether a column is indexed. Then:
+///
+/// - a plan that reads `entries` only through index lookups gets just
+///   the rows those lookups can return, found through the durable
+///   postings and the key map — a point query never walks the tree;
+/// - any other plan gets the whole relation from one pass over the
+///   entries and, when it also probes an index, the postings mapped to
+///   that pass's row offsets (as [`CuratedDatabase::relalg_index_set`]
+///   would).
+///
+/// Returns the canonical result plus the physical plan and its
+/// per-operator actuals, so callers (cdbsh `explain`) can show
+/// estimates against reality.
 ///
 /// The query sees one relation named `entries` with schema
 /// `[key_field, fields…]`, exactly as [`entry_relation`] builds it.
@@ -50,15 +102,69 @@ pub fn query_entries_planned(
     fields: &[&str],
     q: &RaExpr,
 ) -> Result<(Relation, cdb_relalg::PhysPlan, Vec<cdb_relalg::PlanRun>), DbError> {
-    let rel = entry_relation(db, fields)?;
-    let rdb = Database::new().with("entries", rel);
+    let schema = entry_schema(db, fields)?;
+    let mut indexed = IndexSet::new();
+    for (col, idx) in db.view_indexes(fields) {
+        indexed.add(ColumnIndex::from_postings("entries", idx.field(), col, []));
+    }
     let stats = db.planner_stats(fields);
-    let indexes = db.relalg_index_set(fields)?;
-    let plan = cdb_relalg::plan::plan(&rdb, &stats, &indexes, q);
+    let shape = Database::new().with("entries", Relation::empty(schema.clone()));
+    let plan = cdb_relalg::plan::plan(&shape, &stats, &indexed, q);
+    let (rel, indexes) = match lookup_rows(db, &plan) {
+        Some(nodes) => {
+            let mut rel = Relation::empty(schema);
+            for (node, key) in nodes {
+                rel.insert(entry_row(db, node, &key, fields)?)
+                    .map_err(relalg_to_db)?;
+            }
+            let mut indexes = IndexSet::new();
+            for idx in indexed.iter() {
+                indexes.add(ColumnIndex::build("entries", &rel, &idx.col).map_err(relalg_to_db)?);
+            }
+            (rel, indexes)
+        }
+        None => {
+            let (rel, rows) = entry_rows(db, fields)?;
+            // Postings become row offsets only for a plan that probes them.
+            let probes = plan
+                .ops()
+                .iter()
+                .any(|op| matches!(op, PlanOp::IndexLookup { .. }));
+            let indexes = if probes {
+                db.index_set_over(fields, &rows)
+            } else {
+                IndexSet::new()
+            };
+            (rel, indexes)
+        }
+    };
+    let rdb = Database::new().with("entries", rel);
     let (out, runs) =
         cdb_relalg::plan::eval_plan(&rdb, &plan, &indexes, &cdb_relalg::ExecConfig::default())
             .map_err(relalg_to_db)?;
     Ok((out, plan, runs))
+}
+
+/// When `plan` reads `entries` only through index lookups: the
+/// entries those lookups can return, as entry node → key in child
+/// order. `None` when any part of the plan scans the relation.
+fn lookup_rows(
+    db: &CuratedDatabase,
+    plan: &cdb_relalg::PhysPlan,
+) -> Option<BTreeMap<NodeId, String>> {
+    let mut nodes = BTreeMap::new();
+    for op in plan.ops() {
+        match op {
+            PlanOp::IndexLookup { col, key, .. } => {
+                for k in db.field_index(col)?.lookup(key) {
+                    nodes.extend(db.key_map().get(&k).map(|n| (n, k)));
+                }
+            }
+            PlanOp::Scan { .. } | PlanOp::ScanAs { .. } | PlanOp::Naive { .. } => return None,
+            _ => {}
+        }
+    }
+    Some(nodes)
 }
 
 /// The same relation with every cell distinctly colored `key/field`, so

@@ -165,6 +165,45 @@ if [[ "$run_bench" == 1 ]]; then
         cat "$bench_json_dir/BENCH_paging.json"
         exit 1
     fi
+
+    # The keyed-ops bench: the E26 growth gate. Every keyed operation
+    # must cost less than 3x at 8k entries what it costs at 1k — an
+    # O(entries) scan would cost about 8x. Reported but exempt: the
+    # sharded write rows, whose commit deep-copies the whole state to
+    # publish a snapshot (O(state) until snapshots share structure with
+    # the live database), and the uniform-key read row, whose working
+    # set outgrows the CPU caches at 8k.
+    CDB_BENCH_SMOKE=1 CDB_BENCH_JSON=1 CDB_BENCH_JSON_DIR="$bench_json_dir" \
+        cargo bench -p cdb-bench --bench keyed_ops
+    if ! awk -F'"' '
+        /"op": "e26_keyed\// {
+            split($4, part, "/")
+            name = part[2] "/" part[3]
+            match($0, /"ns_per_iter": [0-9]+/)
+            cost[name, part[4]] = substr($0, RSTART + 15, RLENGTH - 15)
+            names[name] = 1
+        }
+        END {
+            exempt["sharded/edit_field"]; exempt["sharded/add_entry"]
+            exempt["sharded/field_uniform"]
+            for (name in names) {
+                if (name in exempt) continue
+                base = cost[name, "1000"]; grown = cost[name, "8000"]
+                if (base == "" || grown == "" || base == 0) {
+                    print "e26_keyed/" name " lacks a 1000 or 8000 row"; bad = 1; continue
+                }
+                ratio = grown / base
+                printf "  e26_keyed/%s: %.2fx per op at 8x entries\n", name, ratio
+                if (ratio >= 3) bad = 1
+                gated++
+            }
+            if (gated < 4) { print "expected at least 4 gated E26 ops, found " gated + 0; bad = 1 }
+            exit bad
+        }' "$bench_json_dir/BENCH_keyed_ops.json"; then
+        echo "E26 growth gate failed: a keyed op costs 3x or more at 8x the entries:"
+        cat "$bench_json_dir/BENCH_keyed_ops.json"
+        exit 1
+    fi
     rm -rf "$bench_json_dir"
 fi
 

@@ -21,13 +21,16 @@
 //! 3. **Index durability** — a database that registered secondary
 //!    indexes and then crashed mid-WAL must recover, at *every* byte
 //!    offset, to indexes identical to a from-scratch rebuild of the
-//!    recovered tree. Each property runs 256 generated cases by default
+//!    recovered tree — and so must the key map behind `entry_node`,
+//!    checked against the first-match scan of the root's children it
+//!    replaced. Each property runs 256 generated cases by default
 //!    (`PROPTEST_CASES` overrides); the WAL-cut sweep is exhaustive.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
 use curated_db::core::storage::{CheckpointStore, Io, MemIo, StorageError};
+use curated_db::curation::NodeId;
 use curated_db::relalg::eval::eval;
 use curated_db::relalg::pred::{CmpOp, Operand};
 use curated_db::relalg::{
@@ -418,11 +421,60 @@ impl Io for SharedIo {
     }
 }
 
-/// Asserts every registered index equals a from-scratch rebuild of the
-/// recovered tree, computed through the public API with the same
-/// indexing rule the database uses: the key field indexes as
-/// `Atom::Str(key)`, missing fields as `Atom::Unit`.
+/// The reference `entry_node`: the scan the key map replaced — the
+/// first root child whose first key-field child holds `key`.
+fn scan_entry_node(db: &CuratedDatabase, key_field: &str, key: &str) -> Option<NodeId> {
+    let tree = &db.curated.tree;
+    tree.children(tree.root())
+        .unwrap()
+        .iter()
+        .copied()
+        .find(|&c| {
+            let kf = tree.child_by_label(c, key_field).unwrap();
+            kf.is_some_and(|kf| tree.value(kf).unwrap() == Some(&Atom::Str(key.to_owned())))
+        })
+}
+
+/// Every keyed entry as `(node, key)`, in child order, read straight
+/// from the tree.
+fn scan_keyed_entries(db: &CuratedDatabase, key_field: &str) -> Vec<(NodeId, String)> {
+    let tree = &db.curated.tree;
+    let mut out = Vec::new();
+    for &c in tree.children(tree.root()).unwrap() {
+        if let Some(kf) = tree.child_by_label(c, key_field).unwrap() {
+            if let Some(Atom::Str(k)) = tree.value(kf).unwrap() {
+                out.push((c, k.clone()));
+            }
+        }
+    }
+    out
+}
+
+/// Asserts the key map equals a rebuild from the tree: every keyed
+/// entry filed under its key, and each key answering what
+/// [`scan_entry_node`] finds.
+fn assert_key_map_matches_rebuild(db: &CuratedDatabase, key_field: &str) {
+    let entries = scan_keyed_entries(db, key_field);
+    let map = db.key_map();
+    let filed: Vec<(NodeId, String)> = map.entries().map(|(n, k)| (n, k.to_owned())).collect();
+    assert_eq!(filed, entries, "key map entries diverged from the tree");
+    let mut expect: BTreeMap<String, NodeId> = BTreeMap::new();
+    for (node, key) in &entries {
+        let found = scan_entry_node(db, key_field, key).expect("a keyed entry scans");
+        expect.entry(key.clone()).or_insert(found);
+        assert_eq!(db.entry_node(key).ok(), Some(found), "entry_node({key:?})");
+        assert!(found <= *node, "the scan finds the first holder of {key:?}");
+    }
+    let got: BTreeMap<String, NodeId> = map.iter().map(|(k, n)| (k.to_owned(), n)).collect();
+    assert_eq!(got, expect, "key map lookups diverged from the scan");
+}
+
+/// Asserts every registered index — and the key map — equals a
+/// from-scratch rebuild of the recovered tree, computed through the
+/// public API with the same indexing rule the database uses: the key
+/// field indexes as `Atom::Str(key)`, missing fields as `Atom::Unit`.
 fn assert_indexes_match_rebuild(db: &CuratedDatabase, key_field: &str) {
+    assert_key_map_matches_rebuild(db, key_field);
     let keys = db.entry_keys().unwrap();
     for field in db.index_fields() {
         let idx = db.field_index(&field).expect("registered index present");
@@ -507,6 +559,7 @@ fn every_wal_byte_cut_recovers_consistent_indexes() {
         )
         .unwrap();
         index_career(&mut db);
+        assert_indexes_match_rebuild(&db, "name");
     }
     let image = wal.bytes();
     assert!(image.len() > 100, "career should produce a non-trivial WAL");
@@ -605,10 +658,134 @@ proptest! {
             )
             .unwrap();
             random_career(&mut db, seed, 14);
+            assert_indexes_match_rebuild(&db, "name");
         }
         let image = wal.bytes();
         let cut = (cut_sel as usize) % (image.len() + 1);
         let db = reopen(image[..cut].to_vec());
         assert_indexes_match_rebuild(&db, "name");
+    }
+}
+
+/// Applies 24 random curation operations that also edit the key field
+/// — renaming entries onto fresh keys and onto keys another entry
+/// holds — calling `check` after each.
+fn keyed_career(db: &mut CuratedDatabase, seed: u64, mut check: impl FnMut(&CuratedDatabase)) {
+    let keys = ["E0", "E1", "E2", "E3", "E4"];
+    let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    for t in 1..=24u64 {
+        let pick = |s: &mut u64| keys[(xorshift(s) % keys.len() as u64) as usize];
+        let small = |s: &mut u64| Atom::Int((xorshift(s) % 3) as i64);
+        match xorshift(&mut s) % 8 {
+            0..=2 => {
+                let (k, tm, kind) = (pick(&mut s), small(&mut s), small(&mut s));
+                let _ = db.add_entry("u", t, k, &[("tm", tm), ("kind", kind)]);
+            }
+            3 => {
+                let (k, to) = (pick(&mut s), pick(&mut s));
+                let _ = db.edit_field("u", t, k, "name", Atom::Str(to.into()));
+            }
+            4 => {
+                let (k, v) = (pick(&mut s), small(&mut s));
+                let _ = db.edit_field("u", t, k, "tm", v);
+            }
+            5 => {
+                let _ = db.delete_entry("u", t, pick(&mut s));
+            }
+            6 => {
+                let (a, b) = (pick(&mut s), pick(&mut s));
+                let _ = db.merge_entries("u", t, a, b);
+            }
+            _ => {
+                let (p1, p2) = (format!("S{t}a"), format!("S{t}b"));
+                let _ = db.split_entry("u", t, pick(&mut s), &[(&p1, vec![]), (&p2, vec![])]);
+            }
+        }
+        check(db);
+    }
+}
+
+/// Keyed careers checked after every operation against the first-match
+/// scan the key map replaced, then reopened from the WAL: recovery
+/// rebuilds the same map.
+#[test]
+fn entry_node_matches_the_first_match_scan() {
+    for seed in 1..=64u64 {
+        let wal = SharedIo::new();
+        let mut db = CuratedDatabase::open(
+            "iuphar",
+            "name",
+            Box::new(wal.clone()),
+            CheckpointStore::mem(),
+        )
+        .unwrap();
+        db.create_index("tm").unwrap();
+        keyed_career(&mut db, seed, |db| {
+            assert_indexes_match_rebuild(db, "name");
+            for k in ["E0", "E1", "E2", "E3", "E4", "S1a"] {
+                assert_eq!(db.entry_node(k).ok(), scan_entry_node(db, "name", k));
+            }
+        });
+        let live = db.key_map().clone();
+        drop(db);
+        let reopened = reopen(wal.bytes());
+        assert_eq!(
+            reopened.key_map(),
+            &live,
+            "seed {seed}: recovery rebuilt another map"
+        );
+        assert_indexes_match_rebuild(&reopened, "name");
+    }
+}
+
+/// Planned queries over the entries view equal naive evaluation of the
+/// materialized relation after every step of a keyed career — index
+/// point lookups (answered from the postings without materializing the
+/// relation), scans, plans mixing both, joins and set operators, on
+/// indexed, unindexed and key columns.
+#[test]
+fn planned_entry_queries_match_naive_eval() {
+    use curated_db::core::views::{entry_relation, query_entries_planned};
+    let fields = ["tm", "kind"];
+    let point = |col: &str, v: Atom| RaExpr::scan("entries").select(Pred::col_eq_const(col, v));
+    let queries = [
+        point("tm", Atom::Int(1)),
+        point("kind", Atom::Int(2)),
+        point("name", Atom::Str("E1".into())),
+        point("tm", Atom::Int(0)).union(point("tm", Atom::Int(2))),
+        point("tm", Atom::Int(1)).diff(point("name", Atom::Str("E3".into()))),
+        point("tm", Atom::Int(2)).union(point("kind", Atom::Int(0))),
+        RaExpr::scan("entries").select(Pred::col_eq_col("tm", "kind")),
+        RaExpr::ScanAs("entries".into(), "a".into())
+            .product(RaExpr::ScanAs("entries".into(), "b".into()))
+            .select(
+                Pred::col_eq_col("a.tm", "b.tm")
+                    .and(Pred::col_eq_const("a.tm", Atom::Int(1)))
+                    .and(Pred::col_eq_const("b.name", Atom::Str("E2".into()))),
+            ),
+    ];
+    for seed in 1..=32u64 {
+        let mut db = CuratedDatabase::new("iuphar", "name");
+        db.create_index("tm").unwrap();
+        db.create_index("name").unwrap();
+        let mut lookups = 0;
+        keyed_career(&mut db, seed, |db| {
+            let rel = entry_relation(db, &fields).unwrap();
+            let base = Database::new().with("entries", rel);
+            for q in &queries {
+                let (got, plan, _) = query_entries_planned(db, &fields, q).unwrap();
+                let mut want = eval(&base, q).unwrap().canonical();
+                want.dedup();
+                assert_eq!(got, want, "seed {seed}: {q:?}");
+                if plan
+                    .ops()
+                    .iter()
+                    .any(|op| matches!(op, PlanOp::IndexLookup { .. }))
+                {
+                    lookups += 1;
+                }
+            }
+        });
+        assert!(lookups > 0, "the career's queries exercise index lookups");
     }
 }

@@ -34,15 +34,17 @@
 //!   shard's half. Same for splits: the original is retired iff every
 //!   part (each on its own shard) exists.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
+use cdb_core::views::query_entries_planned;
 use cdb_core::{Fate, ShardMap, ShardedDb, ShardedSnapshot, Snapshot};
 use cdb_curation::ops::Transaction;
 use cdb_curation::replay::replay_and_verify;
 use cdb_model::Atom;
+use cdb_relalg::{PlanOp, Pred, RaExpr};
 use cdb_storage::{CheckpointStore, FaultPlan, FaultyIo, Io, MemIo, StorageError};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -685,4 +687,100 @@ proptest! {
             }
         }
     }
+}
+
+// ------------------------------------- indexes across cross-shard ops
+
+/// Asserts every shard's `gn` postings equal a rebuild from that
+/// shard's entries (missing fields index as `Unit`).
+fn assert_shard_indexes_match_rebuild(snap: &ShardedSnapshot) {
+    for (i, s) in snap.shards().iter().enumerate() {
+        let mut expect: BTreeMap<Atom, BTreeSet<String>> = BTreeMap::new();
+        for k in s.entry_keys().unwrap() {
+            let v = s.field(&k, "gn").unwrap_or(Atom::Unit);
+            expect.entry(v).or_default().insert(k);
+        }
+        let got: BTreeMap<Atom, BTreeSet<String>> = s
+            .field_index("gn")
+            .expect("gn indexed on every shard")
+            .postings()
+            .map(|(v, ks)| (v.clone(), ks.clone()))
+            .collect();
+        assert_eq!(
+            got, expect,
+            "shard {i}: gn postings diverged from a rebuild"
+        );
+    }
+}
+
+/// Two shards split at `"M"` with `gn` indexed.
+fn two_shards_indexing_gn() -> ShardedDb {
+    let db = ShardedDb::new("uniprot", "ac", ShardMap::with_bounds(vec!["M".into()]));
+    db.create_index("gn").unwrap();
+    db
+}
+
+/// The indexed planned point query `gn = value` on one shard: its
+/// plan must probe the index, and its rows are the matching keys.
+fn planned_gn_keys(s: &Snapshot, value: &str) -> Vec<Atom> {
+    let q = RaExpr::scan("entries").select(Pred::col_eq_const("gn", value));
+    let (rows, plan, _) = query_entries_planned(s, &["gn"], &q).unwrap();
+    assert!(
+        plan.ops()
+            .iter()
+            .any(|op| matches!(op, PlanOp::IndexLookup { .. })),
+        "the point query should use the gn index"
+    );
+    rows.tuples().iter().map(|t| t[0].clone()).collect()
+}
+
+/// A cross-shard fusion carries `gn` onto the kept entry's shard and
+/// deletes the absorbed entry on the other: both shards' indexes must
+/// follow, or an indexed query misses the kept entry.
+#[test]
+fn cross_shard_merge_reconciles_both_shards_indexes() {
+    let db = two_shards_indexing_gn();
+    db.add_entry("c", 1, "A1", &[]).unwrap();
+    db.add_entry("c", 2, "Z1", &[("gn", Atom::Str("G".into()))])
+        .unwrap();
+    db.merge_entries("c", 3, "A1", "Z1").unwrap();
+    let snap = db.snapshot();
+    assert_eq!(snap.field("A1", "gn").unwrap(), Atom::Str("G".into()));
+    assert_shard_indexes_match_rebuild(&snap);
+    assert_eq!(
+        planned_gn_keys(snap.shard(0), "G"),
+        [Atom::Str("A1".into())]
+    );
+    assert!(planned_gn_keys(snap.shard(1), "G").is_empty());
+}
+
+/// A cross-shard fission creates parts on both shards and deletes the
+/// original on one: the new parts are indexed where they land and the
+/// original is unlinked.
+#[test]
+fn cross_shard_split_reconciles_both_shards_indexes() {
+    let db = two_shards_indexing_gn();
+    db.add_entry("c", 1, "A1", &[("gn", Atom::Str("G".into()))])
+        .unwrap();
+    db.split_entry(
+        "c",
+        2,
+        "A1",
+        &[
+            ("B1", vec![("gn", Atom::Str("H".into()))]),
+            ("Z2", vec![("gn", Atom::Str("G".into()))]),
+        ],
+    )
+    .unwrap();
+    let snap = db.snapshot();
+    assert_shard_indexes_match_rebuild(&snap);
+    assert!(planned_gn_keys(snap.shard(0), "G").is_empty());
+    assert_eq!(
+        planned_gn_keys(snap.shard(0), "H"),
+        [Atom::Str("B1".into())]
+    );
+    assert_eq!(
+        planned_gn_keys(snap.shard(1), "G"),
+        [Atom::Str("Z2".into())]
+    );
 }
