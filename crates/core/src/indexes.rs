@@ -3,7 +3,7 @@
 //!
 //! A [`KeyMap`] maps each entry key to the node
 //! [`CuratedDatabase::entry_node`] answers with, so keyed reads and
-//! writes probe a `BTreeMap` instead of scanning the root's children.
+//! writes probe a hash map instead of scanning the root's children.
 //! Like index postings it is derived state: never serialized, rebuilt
 //! from the tree on open, carried by snapshots and 2PC backups, and
 //! reconciled by the same per-commit hook
@@ -34,7 +34,7 @@
 //! [`CuratedDatabase::relalg_index_set`]: crate::db::CuratedDatabase::relalg_index_set
 //! [`CuratedDatabase::planner_stats`]: crate::db::CuratedDatabase::planner_stats
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use cdb_curation::NodeId;
@@ -50,8 +50,10 @@ use cdb_model::Atom;
 /// order is node-id order and the first holder is the lowest id.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct KeyMap {
-    /// Key → its first holder.
-    first: BTreeMap<Arc<str>, NodeId>,
+    /// Key → its first holder. Hashed, not ordered: a probe then
+    /// touches one bucket instead of a comparison per tree level, each
+    /// a pointer chase into a key string.
+    first: HashMap<Arc<str>, NodeId>,
     /// Entry node → key, for every keyed entry (shadowed holders too).
     /// The two maps share each key, so the copy every published
     /// snapshot takes bumps reference counts instead of copying strings.
@@ -74,7 +76,7 @@ impl KeyMap {
         self.first.is_empty()
     }
 
-    /// `(key, node)` lookups in key order.
+    /// `(key, node)` lookups, in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, NodeId)> {
         self.first.iter().map(|(k, n)| (&**k, *n))
     }
